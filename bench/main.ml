@@ -507,8 +507,10 @@ let sched_throughput () =
 
 (* ----- Explorer throughput ----- *)
 
-(* The parallel model checker: states/sec at 1, 2 and 4 domains on a
-   closing scope of >= 10^5 states (CAS write||read, n=3).  Wall-clock
+(* The parallel model checker on the arena engine (each domain steps
+   its own arena and backtracks through its undo journal): states/sec
+   at 1, 2 and 4 domains on a closing scope of >= 10^5 states (CAS
+   write||read, n=3).  Wall-clock
    time (Unix.gettimeofday, not Sys.time: Sys.time sums CPU across
    domains and would hide any speedup).  The merged counts must be
    identical at every domain count -- that determinism is asserted
@@ -516,7 +518,9 @@ let sched_throughput () =
    single-core host the extra domains only add contention, and this
    section reports that honestly. *)
 let explore_throughput () =
-  section "explore-throughput: parallel model checker, states/sec vs domains";
+  section
+    "explore-throughput: parallel model checker (arena engine), states/sec vs \
+     domains";
   Printf.printf "host cores (recommended domain count): %d\n\n"
     (Domain.recommended_domain_count ());
   let scope (type ss cs m) name (algo : (ss, cs, m) Engine.Types.algo) params =
@@ -526,7 +530,10 @@ let explore_throughput () =
     let exec domains =
       let c = Engine.Config.make algo params ~clients:2 in
       let t0 = Unix.gettimeofday () in
-      let r = Engine.Explore.run ~max_states:1_000_000 ~domains algo c ~scripts in
+      let r =
+        Engine.Explore.run ~max_states:1_000_000 ~domains
+          ~engine:Engine.Engine_sig.Arena algo c ~scripts
+      in
       (r, Unix.gettimeofday () -. t0)
     in
     let base, base_dt = exec 1 in

@@ -119,15 +119,7 @@ let census_cmd =
 (* ----- simulate ----- *)
 
 let simulate_cmd =
-  let run algo_name n f writers readers seed engine_name =
-    let engine =
-      match Engine.Engine_sig.kind_of_string engine_name with
-      | Some k -> k
-      | None ->
-          Printf.eprintf "--engine: unknown engine %S (use pure or arena)\n"
-            engine_name;
-          exit 2
-    in
+  let run algo_name n f writers readers seed =
     let params = Engine.Types.params ~n ~f ~k:(max 1 (n - (2 * f))) ~delta:writers ~value_len:8 () in
     let values = Workload.unique_values ~count:(3 * writers) ~len:8 ~seed in
     let scripts =
@@ -137,21 +129,14 @@ let simulate_cmd =
     let check (type ss cs m) (algo : (ss, cs, m) Engine.Types.algo) checker =
       let peak = Storage.create_peak () in
       let h =
-        match engine with
-        | Engine.Engine_sig.Pure ->
-            let c = Engine.Config.make algo params ~clients in
-            let observer = Storage.peak_observer algo peak in
-            let c = Workload.run_scripts ~observer algo c scripts ~seed in
-            Consistency.History.of_events (Engine.Config.history c)
-        | Engine.Engine_sig.Arena ->
-            let c = Engine.Mconfig.make algo params ~clients in
-            let observer c =
-              Storage.peak_observe peak
-                ~total:(Engine.Mconfig.total_storage_bits algo c)
-                ~max_server:(Engine.Mconfig.max_storage_bits algo c)
-            in
-            let c = Workload.Arena.run_scripts ~observer algo c scripts ~seed in
-            Consistency.History.of_events (Engine.Mconfig.history c)
+        let c = Engine.Mconfig.make algo params ~clients in
+        let observer c =
+          Storage.peak_observe peak
+            ~total:(Engine.Mconfig.total_storage_bits algo c)
+            ~max_server:(Engine.Mconfig.max_storage_bits algo c)
+        in
+        let c = Workload.Arena.run_scripts ~observer algo c scripts ~seed in
+        Consistency.History.of_events (Engine.Mconfig.history c)
       in
       Format.printf "%a@." Consistency.History.pp h;
       Format.printf "consistency: %a@."
@@ -189,19 +174,10 @@ let simulate_cmd =
   let f = Arg.(value & opt int 2 & info [ "f" ] ~docv:"F") in
   let writers = Arg.(value & opt int 2 & info [ "writers" ] ~docv:"W") in
   let readers = Arg.(value & opt int 2 & info [ "readers" ] ~docv:"R") in
-  let engine =
-    Arg.(
-      value & opt string "arena"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine: arena (in-place mutation; the fast default) \
-             or pure (persistent configurations).  The history, verdict and \
-             storage peaks are identical either way.")
-  in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Run a workload against an algorithm and check its history.")
-    Term.(const run $ algo $ n $ f $ writers $ readers $ seed_arg $ engine)
+    Term.(const run $ algo $ n $ f $ writers $ readers $ seed_arg)
 
 (* ----- sweep ----- *)
 
@@ -254,26 +230,13 @@ let conjecture_cmd =
 
 let explore_cmd =
   let run algo_name n f domains max_states show_progress reduce_name spill_dir
-      writers readers engine_name =
+      writers readers =
     let reduce =
       match Engine.Reduction.of_string reduce_name with
       | Ok r -> r
       | Error msg ->
           Printf.eprintf "--reduce: %s\n" msg;
           exit 2
-    in
-    let engine =
-      match Engine.Engine_sig.kind_of_string engine_name with
-      | Some k -> k
-      | None ->
-          Printf.eprintf "--engine: unknown engine %S (use pure or arena)\n"
-            engine_name;
-          exit 2
-    in
-    (* the arena search is sequential; a multi-domain run silently gets
-       the pure engine, which is the only one that can use the domains *)
-    let engine =
-      if domains > 1 then Engine.Engine_sig.Pure else engine
     in
     if writers < 1 || readers < 0 || writers + readers < 2 then begin
       Printf.eprintf
@@ -305,7 +268,7 @@ let explore_cmd =
       let r =
         match
           Engine.Explore.run ~max_states ~domains ?progress ~reduce ?spill_dir
-            ~engine algo config ~scripts
+            algo config ~scripts
         with
         | r -> r
         | exception Invalid_argument msg ->
@@ -325,11 +288,10 @@ let explore_cmd =
       in
       let stats = r.Engine.Explore.stats in
       Printf.printf
-        "%s n=%d f=%d, %dw || %dr, reduce=%s, engine=%s (%d domain%s): %d \
-         states, %d terminal histories, closed=%b, %s violations=%d\n"
+        "%s n=%d f=%d, %dw || %dr, reduce=%s (%d domain%s): %d states, %d \
+         terminal histories, closed=%b, %s violations=%d\n"
         algo.Engine.Types.name n f writers readers
         (Engine.Reduction.to_string reduce)
-        (Engine.Engine_sig.kind_to_string engine)
         domains
         (if domains = 1 then "" else "s")
         stats.Engine.Explore.states_explored stats.Engine.Explore.terminals
@@ -344,7 +306,7 @@ let explore_cmd =
             h
       | Engine.Explore.Closed | Engine.Explore.Truncated -> ());
       List.iter (fun why -> Printf.printf "  violation: %s\n" why) violations;
-      if List.length violations > 0 then exit 1
+      if violations <> [] || r.Engine.Explore.deadlocks <> [] then exit 1
     in
     let atomic init h = Consistency.Checker.atomic ~init h in
     let regular init h = Consistency.Checker.regular ~init h in
@@ -409,42 +371,27 @@ let explore_cmd =
       value & opt int 1
       & info [ "readers" ] ~docv:"R" ~doc:"Concurrent single-read clients.")
   in
-  let engine =
-    Arg.(
-      value & opt string "arena"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine: arena (in-place mutation with an undo-log \
-             DFS; the fast default) or pure (persistent configurations; \
-             required for --domains > 1, and selected automatically then).  \
-             Both produce identical results.")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
          "Exhaustively model-check a small instance over all interleavings, \
           optionally fanned out across domains, with optional DPOR/symmetry \
-          reduction and an out-of-core seen-set.")
+          reduction and an out-of-core seen-set.  Exits 1 when a terminal \
+          history violates the consistency condition or the space holds a \
+          deadlock (an operation that can never complete), 2 on a usage \
+          error.")
     Term.(
       const run $ algo $ n $ f $ domains $ max_states $ progress $ reduce
-      $ spill_dir $ writers $ readers $ engine)
+      $ spill_dir $ writers $ readers)
 
 (* ----- hammer ----- *)
 
 let hammer_cmd =
-  let run algo_name execs seed quick json replay_exec engine_name =
+  let run algo_name execs seed quick json replay_exec =
     let canary =
       match Sys.getenv_opt "SMEC_HAMMER_CANARY" with
       | Some "1" -> true
       | Some _ | None -> false
-    in
-    let engine =
-      match Engine.Engine_sig.kind_of_string engine_name with
-      | Some k -> k
-      | None ->
-          Printf.eprintf "--engine: unknown engine %S (use pure or arena)\n"
-            engine_name;
-          exit 2
     in
     let algos =
       if String.equal algo_name "all" then None
@@ -465,11 +412,11 @@ let hammer_cmd =
               Printf.eprintf "--replay needs a single --algo, not \"all\"\n";
               exit 2
         in
-        print_string (Faults.Hammer.replay ~engine ~algo:key ~exec ~seed ~canary ())
+        print_string (Faults.Hammer.replay ~algo:key ~exec ~seed ~canary)
     | None ->
         let execs = if quick then min execs 120 else execs in
         let report =
-          Faults.Hammer.campaign ~execs ~seed ~canary ?algos ~engine ()
+          Faults.Hammer.campaign ~execs ~seed ~canary ?algos ()
         in
         Format.printf "%a@." Faults.Hammer.pp_report report;
         (match json with
@@ -519,22 +466,13 @@ let hammer_cmd =
             "Replay one campaign execution of the selected --algo and print \
              its plan, outcome and full history.")
   in
-  let engine =
-    Arg.(
-      value & opt string "arena"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine: arena (one mutable configuration reused \
-             across executions; the fast default) or pure (persistent \
-             configurations).  Reports are byte-identical either way.")
-  in
   Cmd.v
     (Cmd.info "hammer"
        ~doc:
          "Run the seeded fault-injection campaign: random/targeted/exhaustive \
           fault plans against every algorithm, consistency and liveness \
           checked, failing seeds shrunk to minimal counterexamples.")
-    Term.(const run $ algo $ execs $ seed_arg $ quick $ json $ replay $ engine)
+    Term.(const run $ algo $ execs $ seed_arg $ quick $ json $ replay)
 
 (* ----- trace ----- *)
 

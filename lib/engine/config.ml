@@ -67,6 +67,11 @@ let snapshot c = c
 
 let reset algo c = make algo c.params ~clients:(Array.length c.clients)
 
+(* Backtracking is free too: the caller still holds the value it would
+   roll back to, so a mark carries nothing and undo does nothing. *)
+let mark _ = 0
+let undo_to _ _ = ()
+
 let params c = c.params
 let time c = c.time
 let history c = List.rev c.history

@@ -34,6 +34,12 @@ val reset : ('ss, 'cs, 'm) algo -> ('ss, 'cs, 'm) t -> ('ss, 'cs, 'm) t
     here it is just {!make} again.
     @raise Invalid_argument as {!make}. *)
 
+val mark : ('ss, 'cs, 'm) t -> int
+val undo_to : ('ss, 'cs, 'm) t -> int -> unit
+(** The backtracking hooks of {!Engine_sig.S}: no-ops here, because a
+    persistent configuration never needs undoing — the caller keeps the
+    old value.  They let one in-place search run on both engines. *)
+
 (** {1 Observation} *)
 
 val params : ('ss, 'cs, 'm) t -> params

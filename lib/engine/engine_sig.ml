@@ -23,13 +23,8 @@ open Types
 (** Which engine a driver should run on.  The pure engine stays the
     default for the valency probes (which branch executions and need
     persistence); the arena engine is the default for the forward-only
-    paths (hammer, workload, explore at one domain). *)
+    paths (hammer, workload) and the model checker. *)
 type kind = Types.engine_kind = Pure | Arena
-
-let kind_of_string = function
-  | "pure" -> Some Pure
-  | "arena" -> Some Arena
-  | _ -> None
 
 let kind_to_string = Types.engine_kind_to_string
 
@@ -43,6 +38,17 @@ module type S = sig
   val make : ('ss, 'cs, 'm) algo -> params -> clients:int -> ('ss, 'cs, 'm) t
   val snapshot : ('ss, 'cs, 'm) t -> ('ss, 'cs, 'm) t
   val reset : ('ss, 'cs, 'm) algo -> ('ss, 'cs, 'm) t -> ('ss, 'cs, 'm) t
+
+  (** {1 Backtracking}
+
+      [mark] names the current point of an execution and [undo_to]
+      rolls the configuration back to it, so a search can step in
+      place and backtrack.  The arena engine uses its undo journal
+      (which must be on); on the pure engine both are no-ops, since a
+      persistent value never needs undoing. *)
+
+  val mark : ('ss, 'cs, 'm) t -> int
+  val undo_to : ('ss, 'cs, 'm) t -> int -> unit
 
   (** {1 Observation} *)
 

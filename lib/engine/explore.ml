@@ -15,23 +15,31 @@
     consistency condition.
 
     Deduplication keys are 16-byte {!Digest} values of a canonical
-    state encoding ({!Config.encode_state} plus the remaining scripts
-    and the history with event times renumbered — checkers only use
-    the relative order of events, so merging states that differ only
-    in absolute step counts is sound).  Storing digests instead of the
+    state encoding ([encode_state] plus the remaining scripts and the
+    history with event times renumbered — checkers only use the
+    relative order of events, so merging states that differ only in
+    absolute step counts is sound).  Storing digests instead of the
     full encodings cuts per-state memory from O(state size) to 16
     bytes; a digest collision would silently merge two distinct states,
     but at 10^8 states the odds are below 2^-76 (birthday bound over a
     128-bit hash), far below the odds of a hardware fault.
 
-    The search itself is an explicit work-stack loop, optionally fanned
-    out over OCaml 5 domains: workers share a 256-way sharded seen-set
-    (keyed by the first digest byte) and a global hand-off queue fed
-    whenever some worker goes idle.  Because check-and-insert on the
-    sharded set is atomic, each reachable state is expanded exactly
-    once, so on a closed (non-truncated) space [states_explored], the
-    terminal-history set and the deadlock set are schedule-independent
-    — identical for every domain count.  See docs/MODEL_CHECKING.md. *)
+    There is one search core, {!Search}, written against
+    {!Engine_sig.S}: an in-place depth-first search that marks the
+    configuration, applies a move, recurses and rolls back with
+    [undo_to].  On the arena engine that is the undo journal; on the
+    pure engine mark and undo are no-ops, since a persistent value
+    never needs undoing.  Several OCaml 5 domains may share the search:
+    each owns a cursor (its own {!Mconfig}, or the shared persistent
+    root), they share a 256-way sharded seen-set (keyed by the first
+    digest byte), and a busy domain hands the untried moves of its
+    shallowest open frame to an idle one as a path from the root, which
+    the receiver replays on its own cursor.  Because check-and-insert
+    on the sharded set is atomic, each reachable state is expanded
+    exactly once, so on a closed (non-truncated) space
+    [states_explored], the terminal-history set and the deadlock set
+    are schedule-independent — identical for every domain count and
+    both engines.  See docs/MODEL_CHECKING.md. *)
 
 open Types
 
@@ -61,8 +69,14 @@ type run_result = {
 
 (* ---------- canonical encodings ---------- *)
 
+(* Decimal digits straight into the buffer: key construction is the
+   per-edge hot path, and [string_of_int] would allocate per field. *)
 let add_int b i =
-  Buffer.add_string b (string_of_int i);
+  let rec digits i =
+    if i >= 10 then digits (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  in
+  if i < 0 then Buffer.add_string b (string_of_int i) else digits i;
   Buffer.add_char b ';'
 
 let add_str b s =
@@ -75,14 +89,16 @@ let add_op b = function
       Buffer.add_char b 'W';
       add_str b v
 
-let add_event b = function
-  | Invoke { op_id; client; op; time } ->
+(* [add_event_at b time ev] encodes [ev] as if its time were [time], so
+   a history is keyed renumbered without building the renumbered copy. *)
+let add_event_at b time = function
+  | Invoke { op_id; client; op; time = _ } ->
       Buffer.add_char b 'I';
       add_int b op_id;
       add_int b client;
       add_int b time;
       add_op b op
-  | Respond { op_id; client; response; time } -> (
+  | Respond { op_id; client; response; time = _ } -> (
       Buffer.add_char b 'A';
       add_int b op_id;
       add_int b client;
@@ -92,6 +108,10 @@ let add_event b = function
           Buffer.add_char b 'r';
           add_str b v
       | Write_ack -> Buffer.add_char b 'w')
+
+let add_event b ev =
+  match ev with
+  | Invoke { time; _ } | Respond { time; _ } -> add_event_at b time ev
 
 let renumber_history events =
   List.mapi
@@ -119,82 +139,22 @@ let add_digest_tail scratch history scripts =
       Buffer.add_char scratch '|')
     scripts;
   Buffer.add_char scratch '#';
-  List.iter (add_event scratch) (renumber_history history)
-
-(* The dedup key of a search state, as a 16-byte digest.  [scratch] is
-   a per-worker reusable buffer: key construction is the per-edge hot
-   path, so it must not allocate a fresh buffer every call. *)
-let state_digest scratch algo config scripts =
-  Buffer.clear scratch;
-  Config.encode_state ~into:scratch algo config;
-  add_digest_tail scratch (Config.history config) scripts;
-  Digest.string (Buffer.contents scratch)
-
-(* Digest plus the canonical server permutation.  Under symmetry
-   reduction the state section is the orbit representative's encoding,
-   so every configuration in one orbit (with equal history) collapses
-   to one digest; the returned permutation converts between the
-   concrete frame of this configuration and the canonical frame sleep
-   sets are stored in.  [[||]] stands for the identity. *)
-let digest_and_canon scratch ~symmetric algo config scripts =
-  if not symmetric then (state_digest scratch algo config scripts, [||])
-  else begin
-    let perm = Reduction.canonical_perm algo config in
-    Buffer.clear scratch;
-    Reduction.encode_canonical ~into:scratch ~perm algo config;
-    add_digest_tail scratch (Config.history config) scripts;
-    (Digest.string (Buffer.contents scratch), perm)
-  end
+  List.iteri (add_event_at scratch) history
 
 (* ---------- moves ---------- *)
 
-(* moves: invocations first (deterministic order), then deliveries *)
+(* moves: invocations first (deterministic order), then deliveries.
+   Moves are plain data, not tied to an engine, so a path of them
+   replays on any cursor. *)
 type move =
   | Invoke_next of int
   | Do of Config.action
-
-let moves config scripts =
-  let invokes =
-    List.filter_map
-      (fun (client, ops) ->
-        match (ops, Config.pending_op config client) with
-        | _ :: _, None -> Some (Invoke_next client)
-        | _ -> None)
-      scripts
-  in
-  invokes @ List.map (fun a -> Do a) (Config.enabled config)
 
 (* Move code in the concrete frame (see {!Reduction} for the integer
    encoding sleep sets operate on). *)
 let move_code = function
   | Invoke_next c -> Reduction.invoke_code c
   | Do (Config.Deliver (src, dst)) -> Reduction.deliver_code src dst
-
-let apply algo config scripts = function
-  | Invoke_next client ->
-      let ops =
-        match
-          List.find_map
-            (fun (c, ops) -> if Int.equal c client then Some ops else None)
-            scripts
-        with
-        | Some ops -> ops
-        | None -> invalid_arg "Explore.apply: unknown client"
-      in
-      let op, rest =
-        match ops with o :: r -> (o, r) | [] -> assert false
-      in
-      let _, config = Config.invoke algo config ~client op in
-      let scripts =
-        List.map
-          (fun (c, o) -> if Int.equal c client then (c, rest) else (c, o))
-          scripts
-      in
-      Some (config, scripts)
-  | Do action -> (
-      match Config.step_deliver algo config action with
-      | Some config -> Some (config, scripts)
-      | None -> None)
 
 (* ---------- sharded seen-set ---------- *)
 
@@ -299,60 +259,44 @@ let shard_probe t key sleep =
   Mutex.unlock t.locks.(i);
   result
 
-(* ---------- per-worker stack and the shared pool ---------- *)
+(* ---------- open frames and the shared pool ---------- *)
 
-type ('ss, 'cs, 'm) task = {
-  t_config : ('ss, 'cs, 'm) Config.t;
-  t_scripts : (int * op list) list;
-  t_sleep : int list;
-      (** sleep set in the state's canonical frame; [] without DPOR *)
-  t_canon : int array;
-      (** canonical server permutation of [t_config] ([[||]] = id) *)
-  t_only : int list option;
-      (** [Some d]: re-expansion visit — expand exactly the moves in
-          [d] (canonical codes), not the full enabled set *)
+(* One open DFS frame: a state being expanded.  [f_rest] is the untried
+   tail of its move list — the part a busy domain may give away.
+   [f_explored] holds the canonical codes of the moves already expanded
+   here, the e_1 .. e_{i-1} of the sleep-set rule.  A move enters it
+   before its subtree is searched; only later siblings read it, so this
+   is the set the sequential order gives at any point, and a donated
+   tail carries exactly that set.  Moves asleep on arrival are never
+   added — they are in [f_sleep] already; moves outside [f_only] on a
+   re-expansion visit were expanded on the ORIGINAL visit, whose
+   subtrees had the [f_only] moves asleep, so they must NOT be put to
+   sleep under the re-expanded children. *)
+type frame = {
+  f_sleep : int list;  (** sleep set in the canonical frame; [] without DPOR *)
+  f_canon : int array;  (** canonical server permutation ([[||]] = id) *)
+  f_only : int list option;
+      (** [Some d]: re-expansion visit — expand exactly the moves in [d]
+          (canonical codes), not the full enabled set *)
+  mutable f_explored : int list;
+  mutable f_rest : move list;
 }
 
-(* Growable array stack; [dummy] fills freed slots so popped tasks do
-   not keep their configurations live. *)
-type 'a stack = { mutable buf : 'a array; mutable len : int; dummy : 'a }
+(* Work for a domain: the state reached by [t_path] from the root
+   (oldest move first) and either its full expansion ([t_frame =
+   None], the root task) or the donated tail of one of its frames. *)
+type task = { t_path : move list; t_frame : frame option }
 
-let stack_make dummy = { buf = Array.make 64 dummy; len = 0; dummy }
-
-let stack_push st x =
-  if st.len >= Array.length st.buf then begin
-    let grown = Array.make (2 * Array.length st.buf) st.dummy in
-    Array.blit st.buf 0 grown 0 st.len;
-    st.buf <- grown
-  end;
-  st.buf.(st.len) <- x;
-  st.len <- st.len + 1
-
-let stack_pop st =
-  st.len <- st.len - 1;
-  let x = st.buf.(st.len) in
-  st.buf.(st.len) <- st.dummy;
-  x
-
-(* Remove the [k] oldest entries (the bottom of the stack — in DFS
-   these sit closest to the root, i.e. the largest unexplored
-   subtrees, which is what a starving worker wants). *)
-let stack_steal st k =
-  let k = min k st.len in
-  let out = Array.to_list (Array.sub st.buf 0 k) in
-  Array.blit st.buf k st.buf 0 (st.len - k);
-  Array.fill st.buf (st.len - k) k st.dummy;
-  st.len <- st.len - k;
-  out
-
-type ('ss, 'cs, 'm) pool = {
+type pool = {
   lock : Mutex.t;
   nonempty : Condition.t;
-  q : ('ss, 'cs, 'm) task Queue.t;
+  q : task Queue.t;
   mutable waiters : int;
   pending : int Atomic.t;
-      (** tasks created but not yet fully expanded; 0 = search done *)
-  idlers : int Atomic.t;  (** lock-free mirror of [waiters] *)
+      (** tasks created but not yet finished; 0 = search done *)
+  hungry : int Atomic.t;
+      (** waiting workers minus queued tasks: a busy worker donates
+          while it is positive *)
   poisoned : exn option Atomic.t;
       (** first exception raised by any worker; aborts the search *)
 }
@@ -364,14 +308,16 @@ let pool_create () =
     q = Queue.create ();
     waiters = 0;
     pending = Atomic.make 0;
-    idlers = Atomic.make 0;
+    hungry = Atomic.make 0;
     poisoned = Atomic.make None;
   }
 
-let pool_push pool tasks =
+let pool_push pool task =
+  Atomic.incr pool.pending;
   Mutex.lock pool.lock;
-  List.iter (fun t -> Queue.push t pool.q) tasks;
-  if pool.waiters > 0 then Condition.broadcast pool.nonempty;
+  Queue.push task pool.q;
+  Atomic.decr pool.hungry;
+  if pool.waiters > 0 then Condition.signal pool.nonempty;
   Mutex.unlock pool.lock
 
 (* Blocking take: [None] once the search is complete (pending = 0) or
@@ -387,6 +333,7 @@ let pool_take pool =
     end
     else if not (Queue.is_empty pool.q) then begin
       let t = Queue.pop pool.q in
+      Atomic.incr pool.hungry;
       Mutex.unlock pool.lock;
       Some t
     end
@@ -397,10 +344,10 @@ let pool_take pool =
     end
     else begin
       pool.waiters <- pool.waiters + 1;
-      Atomic.incr pool.idlers;
+      Atomic.incr pool.hungry;
       Condition.wait pool.nonempty pool.lock;
       pool.waiters <- pool.waiters - 1;
-      Atomic.decr pool.idlers;
+      Atomic.decr pool.hungry;
       await ()
     end
   in
@@ -420,7 +367,25 @@ let pool_poison pool e =
   Condition.broadcast pool.nonempty;
   Mutex.unlock pool.lock
 
-(* ---------- the search ---------- *)
+(* Raised inside a worker's search once another worker poisoned the
+   pool: unwinds the DFS without re-poisoning. *)
+exception Abort
+
+(* Per-depth registers a worker keeps for donation: [frames.(d)] is
+   the open frame at depth [d], [path.(d)] the move it is currently
+   expanding.  Growable, because search depth is only bounded by the
+   scope. *)
+let grow arr len dummy =
+  if len >= Array.length !arr then begin
+    let bigger = Array.make (2 * len) dummy in
+    Array.blit !arr 0 bigger 0 (Array.length !arr);
+    arr := bigger
+  end
+
+let no_frame =
+  { f_sleep = []; f_canon = [||]; f_only = None; f_explored = []; f_rest = [] }
+
+(* ---------- the search core ---------- *)
 
 let validate_scripts config scripts =
   List.iter
@@ -429,329 +394,373 @@ let validate_scripts config scripts =
         invalid_arg "Explore.explore: script for unknown client")
     scripts
 
-(* Core engine.  [on_terminal] is only legal with [domains = 1] (it
-   runs user code that need not be thread-safe); the internal
-   collection of terminal/deadlock histories is always on. *)
-let search ?(max_states = 250_000) ?(domains = 1) ?(share_batch = 32)
-    ?progress ?(progress_interval = 25_000) ?on_terminal
-    ?(reduce = Reduction.none) ?spill_dir ?(spill_threshold = 100_000) algo
-    config ~scripts =
-  validate_scripts config scripts;
-  if domains < 1 then invalid_arg "Explore.search: domains must be >= 1";
-  if share_batch < 1 then invalid_arg "Explore.search: share_batch must be >= 1";
-  if spill_threshold < 1 then
-    invalid_arg "Explore.search: spill_threshold must be >= 1";
-  (match on_terminal with
-  | Some _ when domains > 1 ->
-      invalid_arg "Explore.search: on_terminal requires domains = 1"
-  | _ -> ());
-  (* symmetry applies only where the algorithm declares every
-     transition permutation-equivariant at these parameters; elsewhere
-     the request silently degrades (documented in the .mli) so one
-     [--reduce all] flag serves every algorithm *)
-  let symmetric =
-    reduce.Reduction.sym && algo.server_symmetric (Config.params config)
-  in
-  let dpor = reduce.Reduction.dpor in
-  let spill =
-    match spill_dir with
-    | None -> None
-    | Some dir -> (
-        match Reduction.Spill.create ~dir with
-        | Ok sp -> Some sp
-        | Error msg -> invalid_arg ("Explore.search: " ^ msg))
-  in
-  let seen = shard_create ?spill ~spill_threshold () in
-  let term_seen = shard_create () in
-  let dead_seen = shard_create () in
-  let states = Atomic.make 0 in
-  let truncated = Atomic.make false in
-  let next_report = Atomic.make progress_interval in
-  let pool = pool_create () in
-  let terminal_acc = Array.make domains [] in
-  let deadlock_acc = Array.make domains [] in
-  let root_digest, root_canon =
-    let scratch = Buffer.create 1024 in
-    digest_and_canon scratch ~symmetric algo config scripts
-  in
-  let root =
-    {
-      t_config = config;
-      t_scripts = scripts;
-      t_sleep = [];
-      t_canon = root_canon;
-      t_only = None;
-    }
-  in
-  let count_state () =
-    Atomic.incr states;
-    match progress with
-    | None -> ()
-    | Some report ->
-        let s = Atomic.get states in
-        let threshold = Atomic.get next_report in
-        if
-          s >= threshold
-          && Atomic.compare_and_set next_report threshold
-               (threshold + progress_interval)
-        then report s
-  in
-  (* Expand one task: classify quiescent states, push fresh successors
-     (dedup happens at generation, so every inserted state is expanded
-     exactly once). *)
-  let expand scratch wid push task =
-    let cfg = task.t_config in
-    match moves cfg task.t_scripts with
-    | [] ->
+module Search (E : Engine_sig.S) = struct
+  module Canon = Reduction.Canon (E)
+
+  (* The dedup key of a search state, as a 16-byte digest, plus the
+     canonical server permutation.  Under symmetry reduction the state
+     section is the orbit representative's encoding, so every
+     configuration in one orbit (with equal history) collapses to one
+     digest; the returned permutation converts between the concrete
+     frame of this configuration and the canonical frame sleep sets
+     are stored in.  [[||]] stands for the identity.  [scratch] is a
+     per-worker reusable buffer: key construction is the per-edge hot
+     path, so it must not allocate a fresh buffer every call. *)
+  let digest_and_canon scratch ~symmetric algo c scripts =
+    Buffer.clear scratch;
+    let perm =
+      if symmetric then begin
+        let perm = Canon.canonical_perm algo c in
+        Canon.encode_canonical ~into:scratch ~perm algo c;
+        perm
+      end
+      else begin
+        E.encode_state ~into:scratch algo c;
+        [||]
+      end
+    in
+    add_digest_tail scratch (E.history c) scripts;
+    (Digest.string (Buffer.contents scratch), perm)
+
+  let moves c scripts =
+    let invokes =
+      List.filter_map
+        (fun (client, ops) ->
+          match (ops, E.pending_op c client) with
+          | _ :: _, None -> Some (Invoke_next client)
+          | _ -> None)
+        scripts
+    in
+    invokes @ List.map (fun a -> Do a) (E.enabled c)
+
+  (* The successor configuration (the argument itself on the arena
+     engine, mutated in place) and the remaining scripts; [None] when
+     the move is not applicable (nothing was mutated). *)
+  let apply algo c scripts = function
+    | Invoke_next client ->
+        let ops =
+          match
+            List.find_map
+              (fun (c, ops) -> if Int.equal c client then Some ops else None)
+              scripts
+          with
+          | Some ops -> ops
+          | None -> invalid_arg "Explore.apply: unknown client"
+        in
+        let op, rest =
+          match ops with o :: r -> (o, r) | [] -> assert false
+        in
+        let _, c = E.invoke algo c ~client op in
+        let scripts =
+          List.map
+            (fun (c, o) -> if Int.equal c client then (c, rest) else (c, o))
+            scripts
+        in
+        Some (c, scripts)
+    | Do action -> (
+        match E.step_deliver algo c action with
+        | Some c -> Some (c, scripts)
+        | None -> None)
+
+  (* [cursor ()] is called once per domain, before any is spawned; each
+     returns that domain's root configuration.  [on_terminal] runs user
+     code that need not be thread-safe, so only {!explore} passes it,
+     at one domain; the internal collection of terminal/deadlock
+     histories is always on. *)
+  let search ?(max_states = 250_000) ?(domains = 1) ?progress
+      ?(progress_interval = 25_000) ?on_terminal ?(reduce = Reduction.none)
+      ?spill_dir ?(spill_threshold = 100_000) ~cursor algo ~scripts =
+    if domains < 1 then invalid_arg "Explore.search: domains must be >= 1";
+    if spill_threshold < 1 then
+      invalid_arg "Explore.search: spill_threshold must be >= 1";
+    let cursors = Array.init domains (fun _ -> cursor ()) in
+    (* symmetry applies only where the algorithm declares every
+       transition permutation-equivariant at these parameters; elsewhere
+       the request silently degrades (documented in the .mli) so one
+       [--reduce all] flag serves every algorithm *)
+    let symmetric =
+      reduce.Reduction.sym && algo.server_symmetric (E.params cursors.(0))
+    in
+    let dpor = reduce.Reduction.dpor in
+    let sharing = domains > 1 in
+    let spill =
+      match spill_dir with
+      | None -> None
+      | Some dir -> (
+          match Reduction.Spill.create ~dir with
+          | Ok sp -> Some sp
+          | Error msg -> invalid_arg ("Explore.search: " ^ msg))
+    in
+    let seen = shard_create ?spill ~spill_threshold () in
+    let term_seen = shard_create () in
+    let dead_seen = shard_create () in
+    let states = Atomic.make 0 in
+    let truncated = Atomic.make false in
+    let next_report = Atomic.make progress_interval in
+    let pool = pool_create () in
+    let terminal_acc = Array.make domains [] in
+    let deadlock_acc = Array.make domains [] in
+    let count_state () =
+      Atomic.incr states;
+      match progress with
+      | None -> ()
+      | Some report ->
+          let s = Atomic.get states in
+          let threshold = Atomic.get next_report in
+          if
+            s >= threshold
+            && Atomic.compare_and_set next_report threshold
+                 (threshold + progress_interval)
+          then report s
+    in
+    let root_digest, root_canon =
+      digest_and_canon (Buffer.create 1024) ~symmetric algo cursors.(0) scripts
+    in
+    let worker wid () =
+      let root = cursors.(wid) in
+      let root_mark = E.mark root in
+      let scratch = Buffer.create 1024 in
+      let frames = ref (Array.make 64 no_frame) in
+      let path = ref (Array.make 64 (Invoke_next 0)) in
+      (* open frames are [frames.(base) .. frames.(top - 1)]; below
+         [base] lies the path of the task being searched *)
+      let base = ref 0 and top = ref 0 in
+      (* give the untried tail of the shallowest open frame to the
+         pool: the largest remaining subtrees, so a hand-off moves real
+         work, not leaves *)
+      let donate () =
+        let rec shallowest d =
+          if d >= !top then None
+          else
+            match !frames.(d).f_rest with
+            | [] -> shallowest (d + 1)
+            | _ :: _ -> Some d
+        in
+        match shallowest !base with
+        | None -> ()
+        | Some d ->
+            let fr = !frames.(d) in
+            let tail = fr.f_rest in
+            fr.f_rest <- [];
+            pool_push pool
+              {
+                t_path = List.init d (fun i -> !path.(i));
+                t_frame = Some { fr with f_rest = tail };
+              }
+      in
+      (* classify a quiescent state *)
+      let quiescent c =
         (* a pending operation at a frozen client is an intended
            suspension (the valency adversary), not a deadlock *)
-        let nc = Config.num_clients cfg in
+        let nc = E.num_clients c in
         let rec idle i =
           i >= nc
-          || (Option.is_none (Config.pending_op cfg i)
-              || Config.is_frozen cfg (Types.Client i))
+          || (Option.is_none (E.pending_op c i) || E.is_frozen c (Types.Client i))
              && idle (i + 1)
         in
-        let hist = renumber_history (Config.history cfg) in
+        let hist = renumber_history (E.history c) in
         let key = history_key hist in
         if idle 0 then begin
           if shard_add term_seen (Digest.string key) then begin
             terminal_acc.(wid) <- (key, hist) :: terminal_acc.(wid);
-            match on_terminal with None -> () | Some f -> f cfg
+            match on_terminal with None -> () | Some f -> f c
           end
         end
         (* a non-idle quiescent state is a deadlock: record it *)
         else if shard_add dead_seen (Digest.string key) then
           deadlock_acc.(wid) <- (key, hist) :: deadlock_acc.(wid)
-    | ms ->
+      in
+      (* [visit]: expand the state [c] reached at [depth]; dedup happens
+         at generation, so every inserted state is visited exactly once
+         (plus sleep-set re-expansion visits restricted by [only]).
+         Recursion depth is the DFS path length — bounded by the
+         scripts' total op count plus the messages they generate, a few
+         hundred at explorable scopes. *)
+      let rec visit c scripts depth ~sleep ~canon ~only =
+        match moves c scripts with
+        | [] -> quiescent c
+        | ms ->
+            expand c scripts depth
+              {
+                f_sleep = sleep;
+                f_canon = canon;
+                f_only = only;
+                f_explored = [];
+                f_rest = ms;
+              }
+      and expand c scripts depth fr =
+        grow frames depth no_frame;
+        grow path depth (Invoke_next 0);
+        !frames.(depth) <- fr;
+        top := depth + 1;
         (* concrete moves -> canonical codes through this state's
            canonical permutation; independence is relabel-invariant, so
            sleep-set filtering runs directly on canonical codes *)
         let self_code =
           if symmetric then
-            let r = task.t_canon in
+            let r = fr.f_canon in
             fun m -> Reduction.relabel_code (fun s -> r.(s)) (move_code m)
           else move_code
         in
         let inv_self =
-          if symmetric then Reduction.inverse_perm task.t_canon else [||]
+          if symmetric then Reduction.inverse_perm fr.f_canon else [||]
         in
-        (* canonical codes of the moves already expanded from this
-           state in THIS visit: the e_1 .. e_{i-1} of the sleep-set
-           rule.  Moves asleep on arrival are never added here — they
-           are in [t_sleep] already; moves outside [t_only] on a
-           re-expansion visit were expanded on the ORIGINAL visit,
-           whose subtrees had the [t_only] moves asleep, so they must
-           NOT be put to sleep under the re-expanded children. *)
-        let explored = ref [] in
-        List.iter
-          (fun m ->
-            let cm = if dpor then self_code m else 0 in
-            let skip =
-              dpor
-              && (Reduction.Iset.mem cm task.t_sleep
-                 ||
-                 match task.t_only with
-                 | Some d -> not (Reduction.Iset.mem cm d)
-                 | None -> false)
-            in
-            if not skip then
-              match apply algo cfg task.t_scripts m with
-              | None -> ()
-              | Some (config', scripts') ->
-                  if Atomic.get states >= max_states then
-                    Atomic.set truncated true
-                  else begin
-                    (* the child's sleep set in this state's frame:
-                       every independent member of Z U {e_1..e_{i-1}} *)
-                    let sleep_self =
-                      if dpor then
+        let step m =
+          let cm = if dpor then self_code m else 0 in
+          let skip =
+            dpor
+            && (Reduction.Iset.mem cm fr.f_sleep
+               ||
+               match fr.f_only with
+               | Some d -> not (Reduction.Iset.mem cm d)
+               | None -> false)
+          in
+          if not skip then begin
+            let m0 = E.mark c in
+            (match apply algo c scripts m with
+            | None -> ()
+            | Some (c', scripts') ->
+                if Atomic.get states >= max_states then Atomic.set truncated true
+                else begin
+                  (* the child's sleep set in this state's frame: every
+                     independent member of Z U {e_1..e_{i-1}} *)
+                  let sleep_self =
+                    if dpor then begin
+                      let s =
                         List.filter
                           (fun o -> Reduction.independent o cm)
-                          (Reduction.Iset.union task.t_sleep !explored)
-                      else []
-                    in
-                    let d, canon' =
-                      digest_and_canon scratch ~symmetric algo config' scripts'
-                    in
-                    (* convert to the child's canonical frame: a code in
-                       this state's frame names a concrete move through
-                       [inv_self]; the child names it through [canon'] *)
-                    let sleep_child =
-                      if dpor && symmetric then
-                        Reduction.Iset.of_list
-                          (List.map
-                             (Reduction.relabel_code (fun s ->
-                                  canon'.(inv_self.(s))))
-                             sleep_self)
-                      else sleep_self
-                    in
-                    (match shard_probe seen d sleep_child with
-                    | Fresh ->
-                        count_state ();
-                        push
-                          {
-                            t_config = config';
-                            t_scripts = scripts';
-                            t_sleep = sleep_child;
-                            t_canon = canon';
-                            t_only = None;
-                          }
-                    | Dup -> ()
-                    | Again (d_only, inter) ->
-                        (* revisit with fewer moves asleep: re-expand
-                           exactly the difference (not a new state —
-                           [states_explored] counts first visits) *)
-                        push
-                          {
-                            t_config = config';
-                            t_scripts = scripts';
-                            t_sleep = inter;
-                            t_canon = canon';
-                            t_only = Some d_only;
-                          });
-                    if dpor then explored := Reduction.Iset.add cm !explored
-                  end)
-          ms
-  in
-  let worker wid () =
-    let scratch = Buffer.create 1024 in
-    let local = stack_make root in
-    let push t =
-      Atomic.incr pool.pending;
-      stack_push local t
-    in
-    let rec loop () =
-      if Option.is_none (Atomic.get pool.poisoned) then begin
-        (* feed starving workers from the bottom of our stack *)
-        if Atomic.get pool.idlers > 0 && local.len > 1 then begin
-          let give = min (local.len / 2) share_batch in
-          if give > 0 then pool_push pool (stack_steal local give)
-        end;
-        let next =
-          if local.len > 0 then Some (stack_pop local) else pool_take pool
+                          (Reduction.Iset.union fr.f_sleep fr.f_explored)
+                      in
+                      fr.f_explored <- Reduction.Iset.add cm fr.f_explored;
+                      s
+                    end
+                    else []
+                  in
+                  let d, canon' =
+                    digest_and_canon scratch ~symmetric algo c' scripts'
+                  in
+                  (* convert to the child's canonical frame: a code in
+                     this state's frame names a concrete move through
+                     [inv_self]; the child names it through [canon'] *)
+                  let sleep_child =
+                    if dpor && symmetric then
+                      Reduction.Iset.of_list
+                        (List.map
+                           (Reduction.relabel_code (fun s ->
+                                canon'.(inv_self.(s))))
+                           sleep_self)
+                    else sleep_self
+                  in
+                  !path.(depth) <- m;
+                  match shard_probe seen d sleep_child with
+                  | Fresh ->
+                      count_state ();
+                      visit c' scripts' (depth + 1) ~sleep:sleep_child
+                        ~canon:canon' ~only:None
+                  | Dup -> ()
+                  | Again (d_only, inter) ->
+                      (* revisit with fewer moves asleep: re-expand
+                         exactly the difference (not a new state —
+                         [states_explored] counts first visits) *)
+                      visit c' scripts' (depth + 1) ~sleep:inter ~canon:canon'
+                        ~only:(Some d_only)
+                end);
+            E.undo_to c m0
+          end
         in
-        match next with
+        let rec loop () =
+          match fr.f_rest with
+          | [] -> ()
+          | m :: rest ->
+              fr.f_rest <- rest;
+              step m;
+              if sharing then begin
+                if Option.is_some (Atomic.get pool.poisoned) then raise Abort;
+                if Atomic.get pool.hungry > 0 then donate ()
+              end;
+              loop ()
+        in
+        loop ();
+        top := depth
+      in
+      (* replay the task's path on this domain's cursor, search from
+         there, and roll the cursor back to the root *)
+      let run_task task =
+        let c, scripts, depth =
+          List.fold_left
+            (fun (c, scripts, depth) m ->
+              grow path depth (Invoke_next 0);
+              !path.(depth) <- m;
+              match apply algo c scripts m with
+              | Some (c', scripts') -> (c', scripts', depth + 1)
+              | None -> invalid_arg "Explore.search: a donated path must replay")
+            (root, scripts, 0) task.t_path
+        in
+        base := depth;
+        (match task.t_frame with
+        | None -> visit c scripts depth ~sleep:[] ~canon:root_canon ~only:None
+        | Some fr -> expand c scripts depth fr);
+        E.undo_to root root_mark
+      in
+      let rec loop () =
+        match pool_take pool with
         | None -> ()
-        | Some t ->
-            (match expand scratch wid push t with
-            | () -> ()
-            | exception e -> pool_poison pool e);
-            pool_task_done pool;
-            loop ()
-      end
+        | Some task -> (
+            match run_task task with
+            | () ->
+                pool_task_done pool;
+                loop ()
+            | exception Abort -> pool_task_done pool
+            | exception e ->
+                pool_poison pool e;
+                pool_task_done pool)
+      in
+      loop ()
     in
-    loop ()
-  in
-  (* seed: the root is state #1 *)
-  ignore (shard_probe seen root_digest [] : probe_result);
-  count_state ();
-  Atomic.incr pool.pending;
-  pool_push pool [ root ];
-  Fun.protect
-    ~finally:(fun () ->
-      match spill with Some sp -> Reduction.Spill.close sp | None -> ())
-    (fun () ->
-      let spawned =
-        List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
-      in
-      worker 0 ();
-      List.iter Domain.join spawned);
-  (match Atomic.get pool.poisoned with Some e -> raise e | None -> ());
-  let collect acc =
-    Array.to_list acc |> List.concat
-    |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
-    |> List.map snd
-  in
-  let histories = collect terminal_acc in
-  let deadlocks = collect deadlock_acc in
-  let outcome =
-    match deadlocks with
-    | d :: _ -> Deadlock d
-    | [] -> if Atomic.get truncated then Truncated else Closed
-  in
-  {
-    stats =
-      {
-        states_explored = Atomic.get states;
-        terminals = List.length histories;
-        truncated = Atomic.get truncated;
-        outcome;
-      };
-    histories;
-    deadlocks;
-  }
+    (* seed: the root is state #1 *)
+    ignore (shard_probe seen root_digest [] : probe_result);
+    count_state ();
+    pool_push pool { t_path = []; t_frame = None };
+    Fun.protect
+      ~finally:(fun () ->
+        match spill with Some sp -> Reduction.Spill.close sp | None -> ())
+      (fun () ->
+        let spawned =
+          List.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
+        in
+        worker 0 ();
+        List.iter Domain.join spawned);
+    (match Atomic.get pool.poisoned with Some e -> raise e | None -> ());
+    let collect acc =
+      Array.to_list acc |> List.concat
+      |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
+      |> List.map snd
+    in
+    let histories = collect terminal_acc in
+    let deadlocks = collect deadlock_acc in
+    let outcome =
+      match deadlocks with
+      | d :: _ -> Deadlock d
+      | [] -> if Atomic.get truncated then Truncated else Closed
+    in
+    {
+      stats =
+        {
+          states_explored = Atomic.get states;
+          terminals = List.length histories;
+          truncated = Atomic.get truncated;
+          outcome;
+        };
+      histories;
+      deadlocks;
+    }
+end
 
-(* ---------- the arena search ---------- *)
+module Pure_search = Search (Config)
+module Arena_search = Search (Mconfig)
 
-(* The same search on the mutable arena engine, as a sequential
-   recursive DFS: one {!Mconfig} is threaded through the whole
-   exploration, each edge is [mark] -> mutate in place -> recurse ->
-   [undo_to].  No persistent configurations are ever built, so the
-   per-edge cost drops from O(state copy) to O(journal records of one
-   transition).  The digests — hence [states_explored], the terminal
-   set and the deadlock set of a closed space — are byte-identical to
-   {!search}'s: [Mconfig.encode_state] matches the pure encoding and
-   the digest tail is engine-agnostic (the differential suite checks
-   the whole [run_result]). *)
-
-module Mcanon = Reduction.Canon (Mconfig)
-
-let mstate_digest scratch algo a scripts =
-  Buffer.clear scratch;
-  Mconfig.encode_state ~into:scratch algo a;
-  add_digest_tail scratch (Mconfig.history a) scripts;
-  Digest.string (Buffer.contents scratch)
-
-let mdigest_and_canon scratch ~symmetric algo a scripts =
-  if not symmetric then (mstate_digest scratch algo a scripts, [||])
-  else begin
-    let perm = Mcanon.canonical_perm algo a in
-    Buffer.clear scratch;
-    Mcanon.encode_canonical ~into:scratch ~perm algo a;
-    add_digest_tail scratch (Mconfig.history a) scripts;
-    (Digest.string (Buffer.contents scratch), perm)
-  end
-
-let mmoves a scripts =
-  let invokes =
-    List.filter_map
-      (fun (client, ops) ->
-        match (ops, Mconfig.pending_op a client) with
-        | _ :: _, None -> Some (Invoke_next client)
-        | _ -> None)
-      scripts
-  in
-  invokes @ List.map (fun act -> Do act) (Mconfig.enabled a)
-
-(* In-place [apply]: mutates [a] and returns the remaining scripts.
-   [None] means the move was not applicable (nothing was mutated). *)
-let mapply algo a scripts = function
-  | Invoke_next client ->
-      let ops =
-        match
-          List.find_map
-            (fun (c, ops) -> if Int.equal c client then Some ops else None)
-            scripts
-        with
-        | Some ops -> ops
-        | None -> invalid_arg "Explore.apply: unknown client"
-      in
-      let op, rest =
-        match ops with o :: r -> (o, r) | [] -> assert false
-      in
-      let _ = Mconfig.invoke algo a ~client op in
-      Some
-        (List.map
-           (fun (c, o) -> if Int.equal c client then (c, rest) else (c, o))
-           scripts)
-  | Do action -> (
-      match Mconfig.step_deliver algo a action with
-      | Some _ -> Some scripts
-      | None -> None)
-
-(* The arena search starts from its own [Mconfig.make]: a general
-   pure-to-arena conversion would have to rebuild arbitrary
+(* The arena search starts each domain from its own [Mconfig.make]: a
+   general pure-to-arena conversion would have to rebuild arbitrary
    mid-execution states (channels hold algorithm-typed messages every
    engine represents differently), and no explorer caller needs one —
    they all start from an initial configuration, at most with faults
@@ -781,190 +790,36 @@ let arena_of_initial algo config =
   for j = 0 to nc - 1 do
     if Config.is_frozen config (Client j) then ignore (Mconfig.freeze a (Client j))
   done;
-  a
-
-let search_arena ?(max_states = 250_000) ?progress
-    ?(progress_interval = 25_000) ?(reduce = Reduction.none) ?spill_dir
-    ?(spill_threshold = 100_000) algo config ~scripts =
-  validate_scripts config scripts;
-  if spill_threshold < 1 then
-    invalid_arg "Explore.search: spill_threshold must be >= 1";
-  let a = arena_of_initial algo config in
   Mconfig.set_journal a true;
-  let symmetric =
-    reduce.Reduction.sym && algo.server_symmetric (Config.params config)
-  in
-  let dpor = reduce.Reduction.dpor in
-  let spill =
-    match spill_dir with
-    | None -> None
-    | Some dir -> (
-        match Reduction.Spill.create ~dir with
-        | Ok sp -> Some sp
-        | Error msg -> invalid_arg ("Explore.search: " ^ msg))
-  in
-  let seen = shard_create ?spill ~spill_threshold () in
-  let term_seen = shard_create () in
-  let dead_seen = shard_create () in
-  let states = ref 0 in
-  let truncated = ref false in
-  let next_report = ref progress_interval in
-  let terminals = ref [] in
-  let deadlocks = ref [] in
-  let scratch = Buffer.create 1024 in
-  let nc = Mconfig.num_clients a in
-  let count_state () =
-    incr states;
-    match progress with
-    | None -> ()
-    | Some report ->
-        if !states >= !next_report then begin
-          next_report := !next_report + progress_interval;
-          report !states
-        end
-  in
-  (* [visit]: the recursive analogue of [search]'s [expand]; [sleep],
-     [canon] and [only] are the popped task's fields, the configuration
-     is the arena's current (mutated) state.  Recursion depth is the
-     DFS path length — bounded by the scripts' total op count plus the
-     messages they generate, a few hundred at explorable scopes. *)
-  let rec visit ~sleep ~canon ~only scripts =
-    match mmoves a scripts with
-    | [] ->
-        let rec idle i =
-          i >= nc
-          || (Option.is_none (Mconfig.pending_op a i)
-              || Mconfig.is_frozen a (Types.Client i))
-             && idle (i + 1)
-        in
-        let hist = renumber_history (Mconfig.history a) in
-        let key = history_key hist in
-        if idle 0 then begin
-          if shard_add term_seen (Digest.string key) then
-            terminals := (key, hist) :: !terminals
-        end
-        else if shard_add dead_seen (Digest.string key) then
-          deadlocks := (key, hist) :: !deadlocks
-    | ms ->
-        let self_code =
-          if symmetric then
-            let r = canon in
-            fun m -> Reduction.relabel_code (fun s -> r.(s)) (move_code m)
-          else move_code
-        in
-        let inv_self =
-          if symmetric then Reduction.inverse_perm canon else [||]
-        in
-        let explored = ref [] in
-        List.iter
-          (fun m ->
-            let cm = if dpor then self_code m else 0 in
-            let skip =
-              dpor
-              && (Reduction.Iset.mem cm sleep
-                 ||
-                 match only with
-                 | Some d -> not (Reduction.Iset.mem cm d)
-                 | None -> false)
-            in
-            if not skip then begin
-              let m0 = Mconfig.mark a in
-              match mapply algo a scripts m with
-              | None -> Mconfig.undo_to a m0
-              | Some scripts' ->
-                  (if !states >= max_states then truncated := true
-                   else begin
-                     let sleep_self =
-                       if dpor then
-                         List.filter
-                           (fun o -> Reduction.independent o cm)
-                           (Reduction.Iset.union sleep !explored)
-                       else []
-                     in
-                     let d, canon' =
-                       mdigest_and_canon scratch ~symmetric algo a scripts'
-                     in
-                     let sleep_child =
-                       if dpor && symmetric then
-                         Reduction.Iset.of_list
-                           (List.map
-                              (Reduction.relabel_code (fun s ->
-                                   canon'.(inv_self.(s))))
-                              sleep_self)
-                       else sleep_self
-                     in
-                     (match shard_probe seen d sleep_child with
-                     | Fresh ->
-                         count_state ();
-                         visit ~sleep:sleep_child ~canon:canon' ~only:None
-                           scripts'
-                     | Dup -> ()
-                     | Again (d_only, inter) ->
-                         visit ~sleep:inter ~canon:canon' ~only:(Some d_only)
-                           scripts');
-                     if dpor then explored := Reduction.Iset.add cm !explored
-                   end);
-                  Mconfig.undo_to a m0
-            end)
-          ms
-  in
-  let root_digest, root_canon =
-    mdigest_and_canon scratch ~symmetric algo a scripts
-  in
-  ignore (shard_probe seen root_digest [] : probe_result);
-  count_state ();
-  Fun.protect
-    ~finally:(fun () ->
-      match spill with Some sp -> Reduction.Spill.close sp | None -> ())
-    (fun () -> visit ~sleep:[] ~canon:root_canon ~only:None scripts);
-  let collect acc =
-    List.sort (fun (ka, _) (kb, _) -> String.compare ka kb) acc
-    |> List.map snd
-  in
-  let histories = collect !terminals in
-  let deadlocks = collect !deadlocks in
-  let outcome =
-    match deadlocks with
-    | d :: _ -> Deadlock d
-    | [] -> if !truncated then Truncated else Closed
-  in
-  {
-    stats =
-      {
-        states_explored = !states;
-        terminals = List.length histories;
-        truncated = !truncated;
-        outcome;
-      };
-    histories;
-    deadlocks;
-  }
+  a
 
 (** [run algo config ~scripts] — enumerate all interleavings, possibly
     across several domains, and return the merged, deterministically
     sorted terminal and deadlock histories.  See the .mli. *)
-let run ?max_states ?domains ?share_batch ?progress ?progress_interval ?reduce
-    ?spill_dir ?spill_threshold ?(engine = Engine_sig.Pure) algo config
-    ~scripts =
+let run ?max_states ?domains ?progress ?progress_interval ?reduce ?spill_dir
+    ?spill_threshold ?(engine = Engine_sig.Arena) algo config ~scripts =
+  validate_scripts config scripts;
   match engine with
   | Engine_sig.Pure ->
-      search ?max_states ?domains ?share_batch ?progress ?progress_interval
-        ?reduce ?spill_dir ?spill_threshold algo config ~scripts
+      Pure_search.search ?max_states ?domains ?progress ?progress_interval ?reduce
+        ?spill_dir ?spill_threshold
+        ~cursor:(fun () -> config)
+        algo ~scripts
   | Engine_sig.Arena ->
-      (match domains with
-      | Some d when d > 1 ->
-          invalid_arg
-            "Explore.run: the arena engine searches sequentially (domains = \
-             1); use ~engine:Pure for a parallel search"
-      | _ -> ());
-      search_arena ?max_states ?progress ?progress_interval ?reduce ?spill_dir
-        ?spill_threshold algo config ~scripts
+      Arena_search.search ?max_states ?domains ?progress ?progress_interval ?reduce
+        ?spill_dir ?spill_threshold
+        ~cursor:(fun () -> arena_of_initial algo config)
+        algo ~scripts
 
 (** [explore algo config ~scripts ~on_terminal] — sequential
-    enumeration; [on_terminal] receives every distinct terminal
-    configuration in discovery order. *)
+    enumeration on the pure engine; [on_terminal] receives every
+    distinct terminal configuration in discovery order. *)
 let explore ?max_states algo config ~scripts ~on_terminal =
-  (search ?max_states ~domains:1 ~on_terminal algo config ~scripts).stats
+  validate_scripts config scripts;
+  (Pure_search.search ?max_states ~on_terminal
+     ~cursor:(fun () -> config)
+     algo ~scripts)
+    .stats
 
 (** Convenience wrapper: explore and check every terminal history with
     [check]; returns the stats and the list of failures (the verdict

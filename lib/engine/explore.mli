@@ -10,14 +10,16 @@
     delivery enabled — carry the system's complete histories, which the
     caller checks against a consistency condition.
 
-    {!run} is the scalable entry point: an explicit work-stack search,
+    {!run} is the entry point: one in-place depth-first search core,
+    written once over {!Engine_sig.S} and run on either engine,
     optionally fanned out across OCaml 5 domains over a sharded
     seen-set.  On a closed (non-truncated) space the reported counts
     and the sorted terminal/deadlock history sets are identical for
-    every domain count — see docs/MODEL_CHECKING.md for the
-    determinism argument and the digest-soundness analysis.  {!explore}
-    is the sequential callback-style interface kept for callers that
-    need the terminal {e configurations} (not just histories). *)
+    every domain count and both engines — see docs/MODEL_CHECKING.md
+    for the determinism argument and the digest-soundness analysis.
+    {!explore} is a sequential callback-style wrapper over the same
+    core on the pure engine, kept for callers that need the terminal
+    {e configurations} (not just histories). *)
 
 type outcome =
   | Closed  (** the reachable space was exhausted *)
@@ -51,7 +53,6 @@ type run_result = {
 val run :
   ?max_states:int ->
   ?domains:int ->
-  ?share_batch:int ->
   ?progress:(int -> unit) ->
   ?progress_interval:int ->
   ?reduce:Reduction.t ->
@@ -67,9 +68,12 @@ val run :
     explored like any other action.
 
     [domains] (default 1) workers share the search: a 256-way sharded
-    digest set deduplicates states, and idle workers are fed from the
-    bottom of busy workers' stacks ([share_batch], default 32, bounds
-    how many frontier entries move per hand-off).  [progress] is called
+    digest set deduplicates states, and each worker searches depth-first
+    on its own cursor (its own arena on the arena engine, the shared
+    persistent root on the pure engine).  When a worker is idle, a busy
+    one gives it the untried moves of its shallowest open frame, as the
+    move path from the root plus that frame's sleep-set state; the
+    receiver replays the path on its own cursor.  [progress] is called
     roughly every [progress_interval] states (default 25000) with the
     current state count, from whichever worker crosses the threshold —
     it must be thread-safe when [domains > 1].
@@ -101,20 +105,19 @@ val run :
     domain counts (the budget cut-off is racy), so differential
     comparisons should use closing scopes.
 
-    [engine] (default [Pure]) selects the execution engine.  [Arena]
-    runs the same search as a sequential recursive DFS on one mutable
-    {!Mconfig}, backtracking through the undo journal instead of
-    keeping persistent configurations — several times faster at
-    [domains = 1], and byte-identical in its [run_result] on a closed
-    space (the differential suite enforces this).  The arena search
-    requires [config] to be initial (time 0, no history, empty
-    channels, nothing pending; pre-applied failures and freezes are
-    fine) and refuses [domains > 1] — keep the pure engine for
-    parallel searches.
+    [engine] (default [Arena]) selects the execution engine.  Both
+    run the same search and give the same [run_result] on a closed
+    space (the differential suites enforce this at 1, 2 and 4
+    domains).  [Arena] steps a mutable {!Mconfig} in place and
+    backtracks through its undo journal — about twice as fast as
+    copying persistent configurations — and requires [config] to be
+    initial (time 0, no history, empty channels, nothing pending;
+    pre-applied failures and freezes are fine).  [Pure] is the
+    reference engine, and the only one that starts from a
+    mid-execution configuration.
     @raise Invalid_argument on a script for an unknown client,
-    non-positive [domains]/[share_batch]/[spill_threshold], an
-    unusable [spill_dir], or (arena engine) a non-initial [config] or
-    [domains > 1]. *)
+    non-positive [domains]/[spill_threshold], an unusable [spill_dir],
+    or (arena engine) a non-initial [config]. *)
 
 val explore :
   ?max_states:int ->
@@ -123,11 +126,11 @@ val explore :
   scripts:(int * Types.op list) list ->
   on_terminal:(('ss, 'cs, 'm) Config.t -> unit) ->
   stats
-(** Sequential enumeration; [on_terminal] sees each distinct terminal
-    configuration once, in discovery order.  Equivalent to
-    [(run ~domains:1 ...).stats] plus the callback.  A deadlock is
-    reported through [outcome] (the search continues past it), not as
-    an exception.
+(** Sequential enumeration on the pure engine; [on_terminal] sees each
+    distinct terminal configuration once, in discovery order.
+    Equivalent to [(run ~engine:Pure ~domains:1 ...).stats] plus the
+    callback.  A deadlock is reported through [outcome] (the search
+    continues past it), not as an exception.
     @raise Invalid_argument on a script for an unknown client. *)
 
 val explore_check :
@@ -139,7 +142,8 @@ val explore_check :
   stats * (string * Types.event list) list
 (** Explore and check every terminal history; returns the stats and
     the failures (description, offending history).  Inspect
-    [stats.outcome] for deadlocks. *)
+    [stats.outcome] for deadlocks.
+    @raise Invalid_argument on a script for an unknown client. *)
 
 val renumber_history : Types.event list -> Types.event list
 (** Replace every event's [time] with its index in the list.  Checkers

@@ -417,9 +417,9 @@ end
 module Exec_pure = Exec (Engine.Config)
 module Exec_arena = Exec (Engine.Mconfig)
 
-let exec_for = function
-  | Engine.Engine_sig.Pure -> (Exec_pure.run_algo, Exec_pure.replay)
-  | Engine.Engine_sig.Arena -> (Exec_arena.run_algo, Exec_arena.replay)
+let run_algo_for = function
+  | Engine.Engine_sig.Pure -> Exec_pure.run_algo
+  | Engine.Engine_sig.Arena -> Exec_arena.run_algo
 
 let campaign ?(execs = 1000) ?(seed = 42) ?(canary = false) ?algos
     ?(engine = Engine.Engine_sig.Arena) () =
@@ -436,8 +436,7 @@ let campaign ?(execs = 1000) ?(seed = 42) ?(canary = false) ?algos
     algos =
       List.map
         (fun setup ->
-          let run_algo, _ = exec_for engine in
-          run_algo ~setup ~execs ~seed
+          run_algo_for engine ~setup ~execs ~seed
             ~canary:(canary && String.equal setup.key "abd"))
         selected;
   }
@@ -533,6 +532,4 @@ let report_to_json r =
     r.base_seed r.execs_per_algo r.canary
     (String.concat ", " (List.map algo_to_json r.algos))
 
-let replay ?(engine = Engine.Engine_sig.Arena) ~algo ~exec ~seed ~canary () =
-  let _, replay = exec_for engine in
-  replay ~algo ~exec ~seed ~canary
+let replay ~algo ~exec ~seed ~canary = Exec_arena.replay ~algo ~exec ~seed ~canary

@@ -102,17 +102,10 @@ val pp_report : Format.formatter -> report -> unit
 
 val report_to_json : report -> string
 
-val replay :
-  ?engine:Engine.Engine_sig.kind ->
-  algo:string ->
-  exec:int ->
-  seed:int ->
-  canary:bool ->
-  unit ->
-  string
-(** Re-run one campaign execution and render it: plan class and plan,
-    outcome, step/delivery counts, and the full event history.  Calling
-    twice with equal arguments returns byte-identical strings — across
-    engines too — the determinism contract counterexample reports rely
-    on.
+val replay : algo:string -> exec:int -> seed:int -> canary:bool -> string
+(** Re-run one campaign execution on the arena engine and render it:
+    plan class and plan, outcome, step/delivery counts, and the full
+    event history.  Calling twice with equal arguments returns
+    byte-identical strings — the determinism contract counterexample
+    reports rely on.
     @raise Invalid_argument on an unknown algorithm key. *)

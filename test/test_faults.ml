@@ -444,7 +444,7 @@ let test_campaign_canary () =
   Alcotest.(check bool) "some violations were shrunk" true (shrunk <> []);
   (* a shrunk counterexample replays byte-identically *)
   let v = List.hd a.Hammer.violations in
-  let replay () = Hammer.replay ~algo:"abd" ~exec:v.Hammer.exec ~seed:42 ~canary:true () in
+  let replay () = Hammer.replay ~algo:"abd" ~exec:v.Hammer.exec ~seed:42 ~canary:true in
   Alcotest.(check string) "replay determinism" (replay ()) (replay ())
 
 let test_report_json () =

@@ -4,8 +4,8 @@
    - the unreduced search ([--reduce none]) is the oracle; every
      reduction (dpor sleep sets, server-symmetry canonicalization, and
      their composition) must produce EXACTLY the same sorted terminal-
-     and deadlock-history key sets on every closing scope, at 1 and 4
-     domains;
+     and deadlock-history key sets on every closing scope, on both
+     engines and at 1, 2 and 4 domains;
    - sleep sets prune edges, never states, so the DPOR-only state
      count must equal the oracle's;
    - qcheck properties: symmetry canonicalization is invariant under
@@ -26,65 +26,70 @@ let keys hs = List.map Explore.history_key hs
 let check_closed name (r : Explore.run_result) =
   Alcotest.(check bool) (name ^ ": closed") false r.Explore.stats.Explore.truncated
 
-(* One differential row: oracle at [--reduce none], then every
-   reduction at every domain count against it.  The container is
-   single-core, so extra domains cost overhead without speedup: the
-   cheap abd rows carry the 1-vs-4-domain determinism check and the
-   heavyweight scopes run at one domain. *)
-let differential ?(domains_list = [ 1 ]) ?(oracle_domains = 1)
-    ~name ~max_states algo params ~clients ~scripts () =
-  let run ?engine ~domains ~reduce () =
-    Explore.run ~max_states ~domains ?engine ~reduce algo
+(* One differential row.  For every reduction (none, dpor, sym, all)
+   the pure engine at [reference] domains is the reference run; every
+   other run of the row — the pure engine at each count in [pure], the
+   arena engine at each count in [arena] — must reproduce its
+   run_result exactly: same digests, so same state count (under
+   symmetry too: those runs count the same orbit representatives),
+   terminal set and deadlock set on a closed space.  Each reduced
+   reference must in turn yield the oracle's (the unreduced
+   reference's) sorted terminal and deadlock key sets, and, without
+   symmetry, its state count.  The references run at 2 domains by
+   default: their results are asserted identical to every other run
+   anyway, and on a multi-core host that halves the slowest runs of
+   the matrix. *)
+let differential ?(reference = 2) ?(pure = []) ?(arena = [ 1 ]) ~name
+    ~max_states algo params ~clients ~scripts () =
+  let run engine ~domains ~reduce =
+    Explore.run ~max_states ~domains ~engine ~reduce algo
       (Config.make algo params ~clients)
       ~scripts
   in
-  (* arena-vs-pure at equal settings: the undo-log DFS must reproduce
-     the pure search's run_result exactly — same digests, so same
-     state count, terminal set and deadlock set on a closed space *)
-  let check_arena tag (r : Explore.run_result) ~reduce =
-    let ra = run ~engine:Engine_sig.Arena ~domains:1 ~reduce () in
-    check_closed (tag ^ "/arena") ra;
-    Alcotest.(check (list string))
-      (tag ^ "/arena: terminal keys")
-      (keys r.Explore.histories)
-      (keys ra.Explore.histories);
-    Alcotest.(check (list string))
-      (tag ^ "/arena: deadlock keys")
-      (keys r.Explore.deadlocks)
-      (keys ra.Explore.deadlocks);
-    Alcotest.(check int)
-      (tag ^ "/arena: states")
-      r.Explore.stats.Explore.states_explored
-      ra.Explore.stats.Explore.states_explored
+  let tag reduce engine domains =
+    Printf.sprintf "%s/%s/%s/d%d" name (Reduction.to_string reduce)
+      (Engine_sig.kind_to_string engine)
+      domains
   in
-  let oracle = run ~domains:oracle_domains ~reduce:Reduction.none () in
+  let same tag (expect : Explore.run_result) (r : Explore.run_result) ~states =
+    check_closed tag r;
+    Alcotest.(check (list string))
+      (tag ^ ": terminal keys")
+      (keys expect.Explore.histories)
+      (keys r.Explore.histories);
+    Alcotest.(check (list string))
+      (tag ^ ": deadlock keys")
+      (keys expect.Explore.deadlocks)
+      (keys r.Explore.deadlocks);
+    if states then
+      Alcotest.(check int)
+        (tag ^ ": states")
+        expect.Explore.stats.Explore.states_explored
+        r.Explore.stats.Explore.states_explored
+  in
+  let others =
+    List.map (fun d -> (Engine_sig.Pure, d)) pure
+    @ List.map (fun d -> (Engine_sig.Arena, d)) arena
+  in
+  let against reduce expect =
+    List.iter
+      (fun (engine, domains) ->
+        same (tag reduce engine domains) expect
+          (run engine ~domains ~reduce)
+          ~states:true)
+      others
+  in
+  let oracle = run Engine_sig.Pure ~domains:reference ~reduce:Reduction.none in
   check_closed (name ^ "/oracle") oracle;
-  check_arena (name ^ "/none") oracle ~reduce:Reduction.none;
+  against Reduction.none oracle;
   List.iter
     (fun reduce ->
-      List.iter
-        (fun domains ->
-          let tag =
-            Printf.sprintf "%s/%s/d%d" name (Reduction.to_string reduce) domains
-          in
-          let r = run ~domains ~reduce () in
-          check_closed tag r;
-          Alcotest.(check (list string))
-            (tag ^ ": terminal keys")
-            (keys oracle.Explore.histories)
-            (keys r.Explore.histories);
-          Alcotest.(check (list string))
-            (tag ^ ": deadlock keys")
-            (keys oracle.Explore.deadlocks)
-            (keys r.Explore.deadlocks);
-          (* sleep sets alone prune edges, never states *)
-          if not reduce.Reduction.sym then
-            Alcotest.(check int)
-              (tag ^ ": states preserved")
-              oracle.Explore.stats.Explore.states_explored
-              r.Explore.stats.Explore.states_explored;
-          if domains = 1 then check_arena tag r ~reduce)
-        domains_list)
+      let r = run Engine_sig.Pure ~domains:reference ~reduce in
+      (* sleep sets alone prune edges, never states *)
+      same
+        (tag reduce Engine_sig.Pure reference)
+        oracle r ~states:(not reduce.Reduction.sym);
+      against reduce r)
     [ Reduction.dpor; Reduction.sym; Reduction.all ]
 
 let wr_scripts = [ (0, [ Types.Write "a" ]); (1, [ Types.Read ]) ]
@@ -92,11 +97,13 @@ let wr_scripts = [ (0, [ Types.Write "a" ]); (1, [ Types.Read ]) ]
 let params31 = Types.params ~n:3 ~f:1 ~k:1 ~delta:2 ~value_len:1 ()
 
 let test_abd_n3 () =
-  differential ~name:"abd-n3" ~max_states:300_000 ~domains_list:[ 1; 4 ]
+  differential ~name:"abd-n3" ~max_states:300_000 ~pure:[ 1; 4 ]
+    ~arena:[ 1; 2; 4 ]
     Algorithms.Abd.algo params31 ~clients:2 ~scripts:wr_scripts ()
 
 let test_swsr_n3 () =
-  differential ~name:"swsr-n3" ~max_states:300_000 ~domains_list:[ 1; 4 ]
+  differential ~name:"swsr-n3" ~max_states:300_000 ~pure:[ 1; 4 ]
+    ~arena:[ 1; 2; 4 ]
     Algorithms.Abd.regular_algo params31 ~clients:2 ~scripts:wr_scripts ()
 
 let test_abd_mw_n3 () =
@@ -119,16 +126,16 @@ let test_abd_two_writers () =
   let scripts =
     [ (0, [ Types.Write "a" ]); (1, [ Types.Write "b" ]); (2, [ Types.Read ]) ]
   in
-  differential ~name:"abd-2w1r-n2" ~max_states:300_000 ~domains_list:[ 1; 4 ]
+  differential ~name:"abd-2w1r-n2" ~max_states:300_000 ~pure:[ 1; 4 ]
+    ~arena:[ 1; 2; 4 ]
     Algorithms.Abd.algo params ~clients:3 ~scripts ()
 
-(* n = 4: larger orbit group (4! = 24), parallel oracle to keep the
-   row affordable. *)
+(* n = 4: larger orbit group (4! = 24), parallel pure reference to
+   keep the row affordable. *)
 let test_abd_n4 () =
   let params = Types.params ~n:4 ~f:1 ~k:1 ~delta:2 ~value_len:1 () in
-  differential ~name:"abd-n4" ~max_states:600_000 ~domains_list:[ 4 ]
-    ~oracle_domains:4 Algorithms.Abd.algo params ~clients:2 ~scripts:wr_scripts
-    ()
+  differential ~name:"abd-n4" ~max_states:600_000 ~reference:4 ~arena:[ 1; 4 ]
+    Algorithms.Abd.algo params ~clients:2 ~scripts:wr_scripts ()
 
 (* ----- qcheck: canonicalization properties ----- *)
 
